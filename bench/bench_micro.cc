@@ -88,6 +88,8 @@ void BM_Grouping(benchmark::State& state) {
 }
 BENCHMARK(BM_Grouping);
 
+// The planner runs on pool threads, so its benches report wall time:
+// main-thread CPU time would miss nearly all of the work.
 void PlannerBench(benchmark::State& state, straggler::SituationId id,
                   int dp_degree) {
   const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(8);
@@ -105,18 +107,18 @@ void PlannerBench(benchmark::State& state, straggler::SituationId id,
 void BM_PlannerHealthyPinnedDp(benchmark::State& state) {
   PlannerBench(state, straggler::SituationId::kNormal, 2);
 }
-BENCHMARK(BM_PlannerHealthyPinnedDp);
+BENCHMARK(BM_PlannerHealthyPinnedDp)->UseRealTime();
 
 void BM_PlannerS4PinnedDp(benchmark::State& state) {
   PlannerBench(state, straggler::SituationId::kS4, 2);
 }
-BENCHMARK(BM_PlannerS4PinnedDp);
+BENCHMARK(BM_PlannerS4PinnedDp)->UseRealTime();
 
 // Footnote-2 ablation: enumerating the DP degree instead of keeping it.
 void BM_PlannerS4AutoDp(benchmark::State& state) {
   PlannerBench(state, straggler::SituationId::kS4, 0);
 }
-BENCHMARK(BM_PlannerS4AutoDp);
+BENCHMARK(BM_PlannerS4AutoDp)->UseRealTime();
 
 void BM_SimulateStep(benchmark::State& state) {
   const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(8);

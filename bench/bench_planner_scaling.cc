@@ -7,6 +7,7 @@
 // Emits BENCH_planner_scaling.json (see bench::WriteBenchJson) with the
 // measured seconds, speedups and the identical-plan verdict per scenario.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "common/table.h"
 #include "core/planner.h"
 #include "net/flow_sim.h"
+#include "testkit/reference_flow_sim.h"
 
 namespace malleus {
 namespace bench {
@@ -194,7 +196,7 @@ std::string RunScale() {
 
 // ---------------------------------------------------------------------------
 // FlowSim event-loop section: 2048 staggered flows on a 256-GPU fat-tree
-// fabric, played once by the seed's from-scratch legacy engine and once by
+// fabric, played by the from-scratch reference engine (testkit) and by
 // the incremental engine. Both must agree bitwise; the speedup column is
 // the acceptance number (target >= 10x).
 
@@ -223,41 +225,37 @@ std::string RunFlowSim() {
   const net::Fabric fabric(cluster);
   const std::vector<net::Flow> flows = ScaleFlows(cluster);
 
-  const auto measure = [&](net::FlowSimMode mode, double* makespan,
-                           std::vector<net::FlowOutcome>* outcomes) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
-      net::FlowSim sim(fabric, mode);
-      for (const net::Flow& f : flows) sim.Submit(f);
-      const double t0 = Now();
-      sim.Run();
-      const double seconds = Now() - t0;
-      if (seconds < best) best = seconds;
-      *makespan = sim.MakespanSeconds();
-      *outcomes = sim.outcomes();
-    }
-    return best;
-  };
+  // Best-of-kReps wall time of the reference engine and of FlowSim::Run().
+  double legacy_seconds = std::numeric_limits<double>::infinity();
+  double incr_seconds = std::numeric_limits<double>::infinity();
+  testkit::ReferenceFlowResult legacy;
+  double incr_makespan = 0.0;
+  std::vector<net::FlowOutcome> incr_out;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double t0 = Now();
+    legacy = testkit::ReferenceFlowSim(fabric, flows);
+    legacy_seconds = std::min(legacy_seconds, Now() - t0);
 
-  double legacy_makespan = 0.0, incr_makespan = 0.0;
-  std::vector<net::FlowOutcome> legacy_out, incr_out;
-  const double legacy_seconds =
-      measure(net::FlowSimMode::kLegacy, &legacy_makespan, &legacy_out);
-  const double incr_seconds =
-      measure(net::FlowSimMode::kIncremental, &incr_makespan, &incr_out);
-
-  bool identical = legacy_makespan == incr_makespan &&
-                   legacy_out.size() == incr_out.size();
-  for (size_t i = 0; identical && i < legacy_out.size(); ++i) {
-    identical = legacy_out[i].end_seconds == incr_out[i].end_seconds;
+    net::FlowSim sim(fabric);
+    for (const net::Flow& f : flows) sim.Submit(f);
+    t0 = Now();
+    sim.Run();
+    incr_seconds = std::min(incr_seconds, Now() - t0);
+    incr_makespan = sim.MakespanSeconds();
+    incr_out = sim.outcomes();
+  }
+  bool identical = legacy.makespan_seconds == incr_makespan &&
+                   legacy.outcomes.size() == incr_out.size();
+  for (size_t i = 0; identical && i < incr_out.size(); ++i) {
+    identical = legacy.outcomes[i].end_seconds == incr_out[i].end_seconds;
   }
   const double speedup = legacy_seconds / incr_seconds;
 
   TablePrinter table("FlowSim event loop, 2048 flows on a 256-GPU fat-tree");
   table.SetHeader({"Engine", "wall time", "makespan", "speedup",
                    "bit-identical"});
-  table.AddRow({"legacy (from-scratch)", StrFormat("%.3fs", legacy_seconds),
-                StrFormat("%.4fs", legacy_makespan), "1.00x",
+  table.AddRow({"reference (from-scratch)", StrFormat("%.3fs", legacy_seconds),
+                StrFormat("%.4fs", legacy.makespan_seconds), "1.00x",
                 identical ? "yes" : "NO"});
   table.AddRow({"incremental", StrFormat("%.3fs", incr_seconds),
                 StrFormat("%.4fs", incr_makespan),

@@ -30,7 +30,10 @@
 //                               through the online fault-tolerance policy
 //                               engine (malleus::policy) instead of the
 //                               phase trace; uses the block's defaults when
-//                               the scenario has none
+//                               the scenario has none; of the outputs
+//                               below only --events-out and --csv-out
+//                               apply, and the others (and --baselines)
+//                               are rejected with exit 2
 //   --policy=NAME               selector for --dynamic: adaptive (default),
 //                               tolerate, promote, delta, replan, restart
 //
@@ -337,6 +340,25 @@ int main(int argc, char** argv) {
   const model::CostModel cost(*spec, cluster.gpu());
 
   if (args.dynamic) {
+    // The dynamic run writes only --events-out and --csv-out; refuse the
+    // trace-mode flags rather than silently dropping them.
+    const struct {
+      const char* flag;
+      bool set;
+    } trace_only[] = {
+        {"--trace-out", !args.trace_out.empty()},
+        {"--metrics-out", !args.metrics_out.empty()},
+        {"--record-out", !args.record_out.empty()},
+        {"--cache-load", !args.cache_load.empty()},
+        {"--cache-save", !args.cache_save.empty()},
+        {"--baselines", args.baselines},
+    };
+    for (const auto& f : trace_only) {
+      if (f.set) {
+        std::fprintf(stderr, "%s is not supported with --dynamic\n", f.flag);
+        return 2;
+      }
+    }
     scenario::DynamicSpec dyn = args.dynamic_spec;
     dyn.enabled = true;  // --dynamic without a block runs the defaults.
     const policy::EventTrace trace = policy::GenerateEventTrace(

@@ -15,6 +15,11 @@
 //   start + latency + bytes / min-capacity-on-path,
 // matching the analytic model, while k flows crossing one saturated link
 // each observe capacity/k — the contention the analytic model cannot see.
+//
+// Re-sharing is restricted to the connected component of links whose
+// active-flow set changed, and arrivals come from an indexed event queue;
+// testkit::ReferenceFlowSim is the from-scratch engine this one must match
+// bit for bit.
 
 #ifndef MALLEUS_NET_FLOW_SIM_H_
 #define MALLEUS_NET_FLOW_SIM_H_
@@ -60,28 +65,12 @@ struct LinkUsage {
   double peak_utilization = 0.0;  ///< Max over time of rate-sum/capacity.
 };
 
-/// Which Run() engine to use. Both produce bit-identical results; kLegacy
-/// is the seed's from-scratch O(events x links x flows) water-filling, kept
-/// as the reference implementation for the testkit differential oracle.
-/// kIncremental re-shares only the connected component of links whose
-/// active-flow set changed and pulls arrivals from an indexed event queue.
-enum class FlowSimMode {
-  kIncremental,
-  kLegacy,
-};
-
-/// The process-wide default: the MALLEUS_FLOWSIM environment variable
-/// ("incremental" / "legacy") when set and valid, otherwise kIncremental.
-/// Read once and cached for the process lifetime.
-FlowSimMode DefaultFlowSimMode();
-
 /// \brief Runs a set of concurrent flows to completion under progressive
 /// max–min fair sharing. Submit all flows, call Run() once, then read the
 /// outcomes. The Fabric must outlive the simulator.
 class FlowSim {
  public:
   explicit FlowSim(const Fabric& fabric);
-  FlowSim(const Fabric& fabric, FlowSimMode mode);
 
   /// Registers a flow; returns its index (also the index into outcomes()).
   /// Must not be called after Run().
@@ -105,11 +94,7 @@ class FlowSim {
   const Fabric& fabric() const { return *fabric_; }
 
  private:
-  void RunLegacy();
-  void RunIncremental();
-
   const Fabric* fabric_;
-  FlowSimMode mode_;
   std::vector<Flow> flows_;
   std::vector<FlowOutcome> outcomes_;
   std::vector<LinkUsage> link_usage_;

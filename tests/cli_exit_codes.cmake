@@ -41,6 +41,10 @@ expect_stdout_contains("sarif-2.1.0")
 # Usage errors are distinct from lint failures.
 expect_exit(2 ${SCENARIO_CLI} --lint)                 # --lint needs a file.
 expect_exit(2 ${SCENARIO_CLI} --no-such-flag)
+# --dynamic rejects the trace-mode outputs it would otherwise drop.
+expect_exit(2 ${SCENARIO_CLI}
+            --scenario=${SCENARIO_DIR}/dynamic/dynamic_64.scenario --dynamic
+            --metrics-out=${CMAKE_CURRENT_BINARY_DIR}/dynamic_metrics.json)
 
 # Standalone linter: clean file.
 expect_exit(0 ${MALLEUS_LINT} ${clean_scenario})

@@ -16,6 +16,7 @@
 #include "plan/uniform.h"
 #include "sim/collective.h"
 #include "sim/pipeline_sim.h"
+#include "testkit/reference_flow_sim.h"
 
 namespace malleus {
 namespace net {
@@ -353,35 +354,46 @@ TEST(HierFabricTest, OversubscribedSpineContention) {
 }
 
 TEST(HierFabricTest, IncrementalMatchesLegacyBitwise) {
-  // The incremental max–min engine must be bit-identical to the
-  // from-scratch legacy engine, including on hierarchical fabrics with
-  // staggered arrivals and shared spine uplinks.
+  // FlowSim must be bit-identical to the from-scratch reference engine,
+  // including on hierarchical fabrics with staggered arrivals and shared
+  // spine uplinks, and on the degenerate flows both engines special-case:
+  // loopback, zero bytes and an explicit latency.
   const topo::ClusterSpec cluster = FatTreeCluster(4, 4, 2, 2.0);
   const Fabric fabric(cluster);
-  FlowSim inc(fabric, FlowSimMode::kIncremental);
-  FlowSim leg(fabric, FlowSimMode::kLegacy);
-  int64_t n = 0;
-  for (FlowSim* fs : {&inc, &leg}) {
-    n = 0;
-    for (topo::GpuId src = 0; src < cluster.num_gpus(); ++src) {
-      const topo::GpuId dst = (src * 7 + 5) % cluster.num_gpus();
-      if (dst == src) continue;
-      fs->Submit({src, dst, 1e9 + 1e8 * src, 1e-4 * (src % 5)});
-      ++n;
-    }
-    fs->Run();
+  std::vector<Flow> flows;
+  for (topo::GpuId src = 0; src < cluster.num_gpus(); ++src) {
+    const topo::GpuId dst = (src * 7 + 5) % cluster.num_gpus();
+    if (dst == src) continue;
+    flows.push_back({src, dst, 1e9 + 1e8 * src, 1e-4 * (src % 5)});
   }
-  EXPECT_DOUBLE_EQ(inc.MakespanSeconds(), leg.MakespanSeconds());
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(inc.outcome(i).seconds, leg.outcome(i).seconds) << i;
-    EXPECT_DOUBLE_EQ(inc.outcome(i).end_seconds, leg.outcome(i).end_seconds)
-        << i;
+  flows.push_back({3, 3, 2e9, 1e-4});  // loopback
+  flows.push_back({1, 9, 0.0, 2e-4});  // zero bytes
+  flows.push_back({2, 13, 3e9, 3e-4, /*latency_seconds=*/5e-5});
+  FlowSim fs(fabric);
+  for (const Flow& f : flows) fs.Submit(f);
+  fs.Run();
+  const testkit::ReferenceFlowResult ref =
+      testkit::ReferenceFlowSim(fabric, flows);
+
+  EXPECT_EQ(fs.MakespanSeconds(), ref.makespan_seconds);
+  EXPECT_EQ(fs.TotalBytes(), ref.total_bytes);
+  ASSERT_EQ(fs.outcomes().size(), ref.outcomes.size());
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(fs.outcomes()[i].seconds, ref.outcomes[i].seconds) << i;
+    EXPECT_EQ(fs.outcomes()[i].end_seconds, ref.outcomes[i].end_seconds) << i;
   }
   for (int l = 0; l < fabric.num_links(); ++l) {
-    EXPECT_DOUBLE_EQ(inc.link_usage()[l].bytes, leg.link_usage()[l].bytes);
-    EXPECT_DOUBLE_EQ(inc.link_usage()[l].peak_utilization,
-                     leg.link_usage()[l].peak_utilization);
+    EXPECT_EQ(fs.link_usage()[l].bytes, ref.link_usage[l].bytes) << l;
+    EXPECT_EQ(fs.link_usage()[l].peak_utilization,
+              ref.link_usage[l].peak_utilization)
+        << l;
   }
+  // The degenerate branches really were taken.
+  const size_t loopback = flows.size() - 3;
+  EXPECT_EQ(ref.outcomes[loopback].seconds, 0.0);
+  EXPECT_NEAR(ref.outcomes[loopback + 1].seconds, cluster.LatencySec(1, 9),
+              1e-15);
+  EXPECT_GT(ref.outcomes[loopback + 2].seconds, 5e-5);
 }
 
 }  // namespace
