@@ -5,7 +5,8 @@
 // plan signatures and estimates and reports any divergence.
 //
 // Emits BENCH_planner_scaling.json (see bench::WriteBenchJson) with the
-// measured seconds, speedups and the identical-plan verdict per scenario.
+// measured seconds, speedups, the division/ordering split of the cold
+// single-thread plan and the identical-plan verdict per scenario.
 
 #include <algorithm>
 #include <chrono>
@@ -40,6 +41,9 @@ struct Measured {
   double seconds = std::numeric_limits<double>::infinity();
   std::string signature;
   double estimate = 0.0;
+  // Per-layer split of the fastest repetition (PlannerTimings).
+  double division_seconds = 0.0;
+  double ordering_seconds = 0.0;
 };
 
 double Now() {
@@ -63,7 +67,11 @@ Measured MeasureCold(const Scenario& sc, const model::CostModel& cost,
         planner.Plan(sc.situation, sc.global_batch, opts);
     const double seconds = Now() - t0;
     MALLEUS_CHECK_OK(r.status());
-    if (seconds < m.seconds) m.seconds = seconds;
+    if (seconds < m.seconds) {
+      m.seconds = seconds;
+      m.division_seconds = r->timings.division_seconds;
+      m.ordering_seconds = r->timings.ordering_seconds;
+    }
     m.signature = r->plan.Signature();
     m.estimate = r->estimated_full_seconds;
   }
@@ -295,6 +303,7 @@ void Run() {
   TablePrinter table("planner thread scaling (cold cache, best of 3)");
   table.SetHeader({"Scenario", "1 thread", "2 threads", "4 threads",
                    "8 threads", "8T speedup", "cache speedup", "identical"});
+  std::vector<std::string> layers;
   bool first = true;
   for (const Scenario& sc : scenarios) {
     const model::CostModel cost(sc.spec, sc.cluster.gpu());
@@ -338,9 +347,16 @@ void Run() {
     json += StrFormat(
         "],\"cache\":{\"cold_seconds\":%.6f,\"warm_seconds\":%.6f,"
         "\"nocache_seconds\":%.6f,\"speedup\":%.3f},"
-        "\"identical_plans\":%s}",
+        "\"layers\":{\"division_seconds\":%.6f,"
+        "\"ordering_seconds\":%.6f},\"identical_plans\":%s}",
         by_threads[0].seconds, warm.seconds, nocache.seconds, speedup_cache,
+        by_threads[0].division_seconds, by_threads[0].ordering_seconds,
         identical ? "true" : "false");
+    layers.push_back(StrFormat("  %s (1 thread, cold): division %.4fs, "
+                               "ordering %.4fs",
+                               sc.label.c_str(),
+                               by_threads[0].division_seconds,
+                               by_threads[0].ordering_seconds));
   }
   json += "],";
   table.Print();
@@ -349,6 +365,9 @@ void Run() {
       "thread counts, warm/cold cache and cache-off. Thread speedups are\n"
       "bounded by the machine's core count; on a single-core host all\n"
       "thread columns measure the same serialized work.\n\n");
+  std::printf("Per-layer split (PlannerTimings, summed over candidates):\n");
+  for (const std::string& line : layers) std::printf("%s\n", line.c_str());
+  std::printf("\n");
   json += RunScale() + ",";
   std::printf("\n");
   json += RunFlowSim();

@@ -12,6 +12,12 @@
 //   - adaptivity: adaptive cumulative goodput is >= the best fixed policy
 //     on at least 3 of the 4 scenarios.
 //
+// A fixed selector whose action counts include any action other than its
+// namesake has fallen back to adaptive's argmin (its own action was
+// infeasible at some event). Such runs report their `fallbacks` and are
+// left out of best_fixed, so the verdict never compares adaptive with a
+// run that borrowed adaptive's choices.
+//
 // Emits BENCH_policy.json (see bench::WriteBenchJson) with per-scenario
 // per-selector goodput/wall/action counts, the baseline goodputs, and
 // both verdicts.
@@ -113,6 +119,7 @@ struct SelectorOutcome {
   double transition_seconds = 0.0;
   int events_applied = 0;
   int action_counts[policy::kNumPolicyActions] = {0, 0, 0, 0, 0};
+  int fallbacks = 0;  ///< Fixed selectors: actions other than the namesake.
   bool ok = false;
   std::string error;
 };
@@ -216,6 +223,11 @@ SelectorOutcome RunSelector(const std::string& name,
   out.events_applied = run->events_applied;
   for (int a = 0; a < policy::kNumPolicyActions; ++a) {
     out.action_counts[a] = run->action_counts[a];
+    if (name != "adaptive" &&
+        name != policy::PolicyActionName(
+                    static_cast<policy::PolicyAction>(a))) {
+      out.fallbacks += run->action_counts[a];
+    }
   }
   if (run_log_jsonl != nullptr) *run_log_jsonl = run_log.ToJsonl();
   return out;
@@ -270,9 +282,9 @@ int Run() {
                     outcome.error.c_str());
       } else {
         std::printf("  %-10s goodput %.4f  wall %10.1f s  transitions "
-                    "%8.1f s\n",
+                    "%8.1f s  fallbacks %d\n",
                     name.c_str(), outcome.goodput, outcome.wall_seconds,
-                    outcome.transition_seconds);
+                    outcome.transition_seconds, outcome.fallbacks);
       }
       if (name == "adaptive") {
         adaptive_goodput = outcome.goodput;
@@ -286,7 +298,8 @@ int Run() {
           deterministic = false;
           std::printf("  %-10s NOT thread-deterministic\n", name.c_str());
         }
-      } else if (outcome.ok && outcome.goodput > best_fixed_goodput) {
+      } else if (outcome.ok && outcome.fallbacks == 0 &&
+                 outcome.goodput > best_fixed_goodput) {
         best_fixed_goodput = outcome.goodput;
         best_fixed = name;
       }
@@ -295,10 +308,10 @@ int Run() {
       selectors_json += StrFormat(
           "{\"name\":\"%s\",\"ok\":%s,\"goodput\":%.6f,"
           "\"wall_seconds\":%.3f,\"transition_seconds\":%.3f,"
-          "\"events\":%d,\"actions\":%s}",
+          "\"events\":%d,\"fallbacks\":%d,\"actions\":%s}",
           name.c_str(), outcome.ok ? "true" : "false", outcome.goodput,
           outcome.wall_seconds, outcome.transition_seconds,
-          outcome.events_applied,
+          outcome.events_applied, outcome.fallbacks,
           ActionCountsJson(outcome.action_counts).c_str());
     }
     selectors_json += "]";

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -234,12 +233,13 @@ Result<OrchestrationResult> OrchestrateImpl(
     problem.total_microbatches = total_micro;
     problem.max_nodes = options.max_division_nodes;
     const int num_layers = cost.spec().num_layers;
-    // The capacity check depends only on the multiset of group sizes, and
-    // the division search probes the same shapes over and over; memoize.
-    auto feasibility_cache =
-        std::make_shared<std::map<std::vector<int>, bool>>();
-    problem.pipeline_feasible = [&, fast_size, num_layers,
-                                 feasibility_cache](
+    // The capacity check depends only on the multiset of group sizes, so
+    // each slow group's TP size is its feasibility class; the division
+    // search tables the answers and calls back only for unseen shapes.
+    for (int g : slow_groups) {
+      problem.slow_classes.push_back(grouping.groups[g].size());
+    }
+    problem.pipeline_feasible = [&, fast_size, num_layers](
                                     int num_fast,
                                     const std::vector<int>& slow_local) {
       std::vector<int> sizes(num_fast, fast_size);
@@ -251,15 +251,11 @@ Result<OrchestrationResult> OrchestrateImpl(
       // pairing the big groups with the cheap late stages (rearrangement
       // inequality) - sizes ascending.
       std::sort(sizes.begin(), sizes.end());
-      auto it = feasibility_cache->find(sizes);
-      if (it != feasibility_cache->end()) return it->second;
       const std::vector<int64_t> caps =
           StageLayerCapacities(sizes, micro_batch, dp_degree, cost);
       int64_t total = 0;
       for (int64_t c : caps) total += c;
-      const bool feasible = total >= num_layers;
-      (*feasibility_cache)[sizes] = feasible;
-      return feasible;
+      return total >= num_layers;
     };
 
     const auto div_start = std::chrono::steady_clock::now();

@@ -17,6 +17,16 @@
 // The placement dimension is therefore exact while the fast-distribution
 // dimension is near-optimal: property tests bound the gap against brute
 // force at a few percent, comparable to a time-bounded MINLP solve.
+//
+// Memory feasibility of a pipeline is a function of its fast-group count
+// and of how many slow groups of each feasibility class it holds (the
+// caller's `slow_classes`, e.g. the TP size). The search keeps a flat int8
+// table indexed by (num_fast, mixed-radix class counts), local to one
+// SolveDivision call, and fills an entry on its first probe: the
+// `pipeline_feasible` callback is consulted only on a table miss, so it runs
+// at most once per distinct key, and every other probe is an array lookup
+// that allocates nothing. Leaf evaluation likewise reuses flat per-pipeline
+// buffers, updated in place as the search places and moves slow groups.
 
 #ifndef MALLEUS_SOLVER_DIVISION_H_
 #define MALLEUS_SOLVER_DIVISION_H_
@@ -31,9 +41,14 @@ namespace malleus {
 namespace solver {
 
 /// Decides whether a pipeline made of `num_fast` fast groups plus the slow
-/// groups at `slow_indices` can host the model (memory feasibility).
+/// groups at `slow_indices` can host the model (memory feasibility). The
+/// answer must depend only on `num_fast` and on how many of the slow groups
+/// fall in each class of DivisionProblem::slow_classes.
 using PipelineFeasibleFn =
     std::function<bool(int num_fast, const std::vector<int>& slow_indices)>;
+
+/// Upper bound on the feasibility table of one SolveDivision call (bytes).
+inline constexpr int64_t kMaxFeasibilityTableEntries = int64_t{1} << 24;
 
 struct DivisionProblem {
   int num_pipelines = 1;   ///< DP-bar: the (fixed) number of pipelines.
@@ -41,8 +56,17 @@ struct DivisionProblem {
   double fast_rate = 1.0;  ///< y-hat of the fast groups.
   /// Group straggling rates of the minority (slow) groups.
   std::vector<double> slow_rates;
+  /// Feasibility class of each slow group, parallel to slow_rates (any
+  /// labels; groups with equal labels are interchangeable for
+  /// pipeline_feasible). Empty: every slow group is its own class.
+  std::vector<int> slow_classes;
   int64_t total_microbatches = 1;  ///< M = B / b.
   /// Optional memory-feasibility check; all pipelines pass if unset.
+  /// Consulted once per distinct (num_fast, class counts) key, with the
+  /// slow groups of the first pipeline probed with that key. The key table
+  /// holds (num_fast_groups + 1) * prod_c (n_c + 1) entries for n_c slow
+  /// groups in class c; SolveDivision rejects problems whose table would
+  /// exceed kMaxFeasibilityTableEntries.
   PipelineFeasibleFn pipeline_feasible;
   /// Node budget before falling back to local search.
   int64_t max_nodes = 2'000'000;

@@ -31,25 +31,27 @@ int64_t MaxUnitsAt(double rate, int64_t cap, double t) {
   return by_rate;
 }
 
-int64_t TotalUnitsAt(const std::vector<double>& rates,
-                     const std::vector<int64_t>& caps, double t) {
+// cap_j, with a null `caps` meaning every entity is unbounded.
+int64_t CapAt(const int64_t* caps, size_t j) {
+  return caps == nullptr ? -1 : caps[j];
+}
+
+int64_t TotalUnitsAt(const std::vector<double>& rates, const int64_t* caps,
+                     double t) {
   int64_t total = 0;
   for (size_t j = 0; j < rates.size(); ++j) {
-    total += MaxUnitsAt(rates[j], caps[j], t);
+    total += MaxUnitsAt(rates[j], CapAt(caps, j), t);
   }
   return total;  // Bounded by n * kUnitsCeiling; no overflow.
 }
 
-}  // namespace
-
-Result<BottleneckSolution> SolveBottleneckAllocation(
-    const std::vector<double>& rates, const std::vector<int64_t>& caps,
-    int64_t total) {
+// The body shared by every entry point; fills *sol in place, reusing the
+// capacity of sol->amounts and *order.
+Status Solve(const std::vector<double>& rates, const int64_t* caps,
+             int64_t total, BottleneckSolution* sol,
+             std::vector<size_t>* order) {
   const size_t n = rates.size();
   if (n == 0) return Status::InvalidArgument("no entities to assign to");
-  if (caps.size() != n) {
-    return Status::InvalidArgument("rates/caps size mismatch");
-  }
   if (total < 0) return Status::InvalidArgument("total must be >= 0");
   for (double r : rates) {
     if (!(r > 0)) {
@@ -57,11 +59,10 @@ Result<BottleneckSolution> SolveBottleneckAllocation(
     }
   }
 
-  BottleneckSolution sol;
-  sol.amounts.assign(n, 0);
+  sol->amounts.assign(n, 0);
   if (total == 0) {
-    sol.bottleneck = 0.0;
-    return sol;
+    sol->bottleneck = 0.0;
+    return Status::OK();
   }
 
   // Feasibility: the loosest possible bottleneck assigns cap everywhere.
@@ -96,20 +97,20 @@ Result<BottleneckSolution> SolveBottleneckAllocation(
 
   // Assign maximal units at t, then trim the excess starting from the
   // highest-rate entities so the secondary sum of products shrinks most.
-  std::vector<int64_t>& out = sol.amounts;
+  std::vector<int64_t>& out = sol->amounts;
   int64_t assigned = 0;
   for (size_t j = 0; j < n; ++j) {
-    out[j] = MaxUnitsAt(rates[j], caps[j], t);
+    out[j] = MaxUnitsAt(rates[j], CapAt(caps, j), t);
     assigned += out[j];
   }
   int64_t excess = assigned - total;
   if (excess > 0) {
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    order->resize(n);
+    std::iota(order->begin(), order->end(), 0);
+    std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
       return rates[a] > rates[b];
     });
-    for (size_t idx : order) {
+    for (size_t idx : *order) {
       if (excess == 0) break;
       const int64_t cut = std::min(excess, out[idx]);
       out[idx] -= cut;
@@ -123,14 +124,36 @@ Result<BottleneckSolution> SolveBottleneckAllocation(
       bottleneck = std::max(bottleneck, rates[j] * out[j]);
     }
   }
-  sol.bottleneck = bottleneck;
+  sol->bottleneck = bottleneck;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<BottleneckSolution> SolveBottleneckAllocation(
+    const std::vector<double>& rates, const std::vector<int64_t>& caps,
+    int64_t total) {
+  if (caps.size() != rates.size()) {
+    return Status::InvalidArgument("rates/caps size mismatch");
+  }
+  BottleneckSolution sol;
+  std::vector<size_t> order;
+  MALLEUS_RETURN_NOT_OK(Solve(rates, caps.data(), total, &sol, &order));
   return sol;
 }
 
 Result<BottleneckSolution> SolveBottleneckAllocation(
     const std::vector<double>& rates, int64_t total) {
-  std::vector<int64_t> caps(rates.size(), -1);
-  return SolveBottleneckAllocation(rates, caps, total);
+  BottleneckSolution sol;
+  std::vector<size_t> order;
+  MALLEUS_RETURN_NOT_OK(Solve(rates, nullptr, total, &sol, &order));
+  return sol;
+}
+
+Status SolveBottleneckAllocationInto(const std::vector<double>& rates,
+                                     int64_t total, BottleneckSolution* sol,
+                                     std::vector<size_t>* order) {
+  return Solve(rates, nullptr, total, sol, order);
 }
 
 }  // namespace solver

@@ -49,6 +49,13 @@ Result<BottleneckSolution> SolveBottleneckAllocation(
 Result<BottleneckSolution> SolveBottleneckAllocation(
     const std::vector<double>& rates, int64_t total);
 
+/// The uncapped overload for hot loops: writes the same solution into
+/// `*sol`, reusing the storage of `sol->amounts` and of `*order` (sort
+/// scratch), so repeated calls of one size allocate nothing.
+Status SolveBottleneckAllocationInto(const std::vector<double>& rates,
+                                     int64_t total, BottleneckSolution* sol,
+                                     std::vector<size_t>* order);
+
 }  // namespace solver
 }  // namespace malleus
 

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "solver/cache_io.h"
 #include "solver/division.h"
 #include "solver/ilp.h"
@@ -392,6 +395,201 @@ TEST(DivisionPropertyTest, ObjectiveMatchesReportedAssignment) {
     }
     EXPECT_NEAR(sol->objective, max_load, 1e-9) << "trial " << trial;
   }
+}
+
+// ---------- Division pins: table-driven feasibility ----------
+
+// A seeded division instance whose slow groups carry TP sizes, with a
+// feasibility predicate in the shape of the planner's memory check: the
+// pipeline's group sizes, sorted ascending, give stage j a capacity of
+// size_j * (j + 1), and the pipeline fits when the total reaches `need`.
+struct SizedDivision {
+  DivisionProblem problem;
+  int fast_size = 1;
+  std::vector<int> slow_sizes;
+  int64_t need = 0;
+};
+
+bool SizedFits(const SizedDivision& d, int num_fast,
+               const std::vector<int>& slow) {
+  std::vector<int> sizes(num_fast, d.fast_size);
+  for (int s : slow) sizes.push_back(d.slow_sizes[s]);
+  std::sort(sizes.begin(), sizes.end());
+  int64_t capacity = 0;
+  for (size_t j = 0; j < sizes.size(); ++j) {
+    capacity += sizes[j] * static_cast<int64_t>(j + 1);
+  }
+  return capacity >= d.need;
+}
+
+// Seeds 1-8 solve exactly; seed 9 caps the node budget so the search
+// falls back to LocalSearch.
+SizedDivision MakeSizedDivision(uint64_t seed) {
+  Rng rng(seed);
+  SizedDivision d;
+  DivisionProblem& p = d.problem;
+  p.num_pipelines = static_cast<int>(rng.UniformInt(2, 4));
+  p.num_fast_groups = static_cast<int>(
+      rng.UniformInt(p.num_pipelines, p.num_pipelines + 8));
+  p.fast_rate = rng.Uniform(0.1, 0.5);
+  d.fast_size = rng.UniformInt(0, 1) == 0 ? 2 : 4;
+  const int ms = static_cast<int>(rng.UniformInt(3, 8));
+  for (int k = 0; k < ms; ++k) {
+    p.slow_rates.push_back(1.0 + 0.5 * static_cast<double>(
+                                           rng.UniformInt(0, 4)));
+    d.slow_sizes.push_back(1 << rng.UniformInt(0, 3));
+  }
+  p.total_microbatches = rng.UniformInt(2 * p.num_pipelines, 96);
+  // A pipeline must reach about 80% of the capacity of a fair share: the
+  // mean group size times the triangular number of the mean group count.
+  int64_t gpus = int64_t{p.num_fast_groups} * d.fast_size;
+  for (int s : d.slow_sizes) gpus += s;
+  const int64_t groups = (p.num_fast_groups + ms) / p.num_pipelines;
+  d.need = gpus * (groups + 1) * 2 / (5 * p.num_pipelines);
+  if (seed == 9) p.max_nodes = 20;
+  return d;
+}
+
+std::string DivisionSignature(const Result<DivisionResult>& r) {
+  if (!r.ok()) return r.status().ToString();
+  std::string s = StrFormat("obj=%a nodes=%lld exact=%d", r->objective,
+                            static_cast<long long>(r->nodes_explored),
+                            r->exact ? 1 : 0);
+  for (const DivisionResult::Pipeline& p : r->pipelines) {
+    s += StrFormat(" | %d:[", p.num_fast);
+    for (size_t i = 0; i < p.slow_indices.size(); ++i) {
+      s += StrFormat(i == 0 ? "%d" : ",%d", p.slow_indices[i]);
+    }
+    s += StrFormat("]:%lld:%a", static_cast<long long>(p.microbatches),
+                   p.capacity);
+  }
+  return s;
+}
+
+// Objective bits, node count, exactness and every pipeline's (num_fast,
+// slow groups, m_i, S_i) of nine seeded instances, as produced by calling
+// the feasibility callback on every probe; the class-count table must
+// reproduce them exactly. The answers must not depend on how the classes
+// partition the slow groups, so each instance is solved with TP-size
+// classes and with one class per group.
+TEST(DivisionPinTest, SeededSizedInstancesMatchPinnedPlans) {
+  const char* const kPinned[] = {
+      "obj=0x1.efc8307093301p+1 nodes=797 exact=1"
+      " | 0:[1,2,3,5]:8:0x1.0888888888888p+1"
+      " | 0:[0,4,6,7]:8:0x1.0888888888888p+1"
+      " | 4:[]:47:0x1.844cb973515bfp+3",
+      "obj=0x1.d47c1cf5db712p+0 nodes=9 exact=1"
+      " | 2:[0]:22:0x1.80b20c2a37d47p+3"
+      " | 2:[1]:22:0x1.80b20c2a37d47p+3"
+      " | 1:[2]:10:0x1.9b5cb6d4e27f2p+2"
+      " | 3:[]:31:0x1.1485891fa9df5p+4",
+      "obj=0x1.f46a9adfc0802p+0 nodes=61 exact=1"
+      " | 1:[3]:11:0x1.6b05a95a52235p+2"
+      " | 1:[1,4]:12:0x1.88e3873830014p+2"
+      " | 0:[0,2]:2:0x1.2aaaaaaaaaaaap+0"
+      " | 3:[]:31:0x1.00443f03bd9a8p+4",
+      "obj=0x1.8dba50750052p+0 nodes=192 exact=1"
+      " | 1:[0,1]:7:0x1.205ba784196bfp+2"
+      " | 1:[2,4]:7:0x1.205ba784196bfp+2"
+      " | 2:[3]:12:0x1.f82ec67faa4f6p+2"
+      " | 3:[5]:18:0x1.7a2314dfbfbb8p+3",
+      "obj=0x1p+2 nodes=24 exact=1"
+      " | 0:[1,2]:4:0x1p+0"
+      " | 1:[3]:12:0x1.96ef497ec7273p+1"
+      " | 1:[0]:15:0x1.e3bc164b93f4p+1"
+      " | 2:[]:22:0x1.63bc164b93f4p+2",
+      "obj=0x1.f5acb74c57f6ep+1 nodes=353 exact=1"
+      " | 1:[0,1,2,4,5]:22:0x1.6757179640208p+2"
+      " | 1:[3,6]:14:0x1.ceae2f2c80411p+1"
+      " | 3:[7]:28:0x1.c93879f5f394dp+2",
+      "obj=0x1.43007831767cap+0 nodes=16 exact=1"
+      " | 4:[2]:12:0x1.3058534e4d05fp+3"
+      " | 3:[0,1,3,4]:12:0x1.319793d00f19cp+3",
+      "obj=0x1.f7e1bdb08f683p+0 nodes=106 exact=1"
+      " | 3:[0,2,3,4]:22:0x1.67af75c20a7edp+3"
+      " | 3:[1,5]:20:0x1.47af75c20a7edp+3"
+      " | 5:[]:29:0x1.d779c44366d35p+3",
+      "obj=0x1.224d07738bd72p+1 nodes=21 exact=0"
+      " | 1:[0,2,7]:18:0x1.fbf123087b532p+2"
+      " | 1:[5,6]:17:0x1.e257896ee1b98p+2"
+      " | 2:[1,3]:33:0x1.d257896ee1b98p+3"
+      " | 1:[4]:17:0x1.e257896ee1b98p+2",
+  };
+  for (uint64_t seed = 1; seed <= 9; ++seed) {
+    SizedDivision d = MakeSizedDivision(seed);
+    d.problem.pipeline_feasible = [&d](int num_fast,
+                                       const std::vector<int>& slow) {
+      return SizedFits(d, num_fast, slow);
+    };
+    d.problem.slow_classes = d.slow_sizes;
+    EXPECT_EQ(DivisionSignature(SolveDivision(d.problem)),
+              kPinned[seed - 1])
+        << "seed " << seed << ", TP-size classes";
+    d.problem.slow_classes.clear();
+    EXPECT_EQ(DivisionSignature(SolveDivision(d.problem)),
+              kPinned[seed - 1])
+        << "seed " << seed << ", one class per group";
+  }
+}
+
+// The feasibility callback runs only on a table miss: at most once per
+// distinct (num_fast, per-class slow counts) key.
+TEST(DivisionPinTest, FeasibilityCallbackRunsOncePerClassKey) {
+  for (uint64_t seed = 1; seed <= 9; ++seed) {
+    SizedDivision d = MakeSizedDivision(seed);
+    // Key: num_fast, then the slow groups' sizes in ascending order.
+    std::map<std::vector<int>, int> calls;
+    d.problem.pipeline_feasible = [&](int num_fast,
+                                      const std::vector<int>& slow) {
+      std::vector<int> sizes;
+      for (int s : slow) sizes.push_back(d.slow_sizes[s]);
+      std::sort(sizes.begin(), sizes.end());
+      sizes.insert(sizes.begin(), num_fast);
+      ++calls[sizes];
+      return SizedFits(d, num_fast, slow);
+    };
+    d.problem.slow_classes = d.slow_sizes;
+    ASSERT_TRUE(SolveDivision(d.problem).ok()) << "seed " << seed;
+    EXPECT_FALSE(calls.empty()) << "seed " << seed;
+    for (const auto& [key, count] : calls) {
+      EXPECT_EQ(count, 1) << "seed " << seed << ", num_fast " << key[0];
+    }
+  }
+}
+
+TEST(DivisionPinTest, RejectsMismatchedClasses) {
+  DivisionProblem problem;
+  problem.num_pipelines = 2;
+  problem.num_fast_groups = 2;
+  problem.slow_rates = {2.0, 3.0};
+  problem.slow_classes = {4};
+  problem.total_microbatches = 8;
+  Result<DivisionResult> sol = SolveDivision(problem);
+  ASSERT_FALSE(sol.ok());
+  EXPECT_TRUE(sol.status().IsInvalidArgument()) << sol.status();
+}
+
+// Thirty slow groups with one class each would need a 2^30-key table; the
+// same groups in two classes need only 16 * 16 keys.
+TEST(DivisionPinTest, OversizedFeasibilityTableIsRejected) {
+  DivisionProblem problem;
+  problem.num_pipelines = 4;
+  problem.num_fast_groups = 8;
+  problem.fast_rate = 0.5;
+  for (int k = 0; k < 30; ++k) {
+    problem.slow_rates.push_back(k % 2 == 0 ? 1.5 : 2.5);
+  }
+  problem.total_microbatches = 64;
+  problem.max_nodes = 1000;
+  problem.pipeline_feasible = [](int num_fast, const std::vector<int>& slow) {
+    return num_fast + static_cast<int>(slow.size()) >= 2;
+  };
+  Result<DivisionResult> sol = SolveDivision(problem);
+  ASSERT_FALSE(sol.ok());
+  EXPECT_TRUE(sol.status().IsInvalidArgument()) << sol.status();
+
+  for (int k = 0; k < 30; ++k) problem.slow_classes.push_back(k % 2);
+  EXPECT_TRUE(SolveDivision(problem).ok());
 }
 
 // ---------- Branch-and-bound node accounting ----------
